@@ -24,7 +24,6 @@ from dataclasses import dataclass, field
 import pandas as pd
 from pyspark.sql import DataFrame
 
-from ..gbdt.spark_backend import SparkGBDTClassifier  # noqa: F401 (re-export convenience)
 from .combos import mine_combos
 from .correlation import DEFAULT_THETA
 from .engine import LocalEngine, SparkEngine

@@ -1,7 +1,7 @@
 """XGBoost substrate: from-scratch histogram GBDT (numpy + Spark backends)."""
 from .binning import BinMapper, fit_bin_mapper
 from .boosting import GBDTClassifier, logistic_grad_hess, sigmoid
-from .tree import Tree, TreeNode, assign_slots, build_histograms, grow_tree
+from .tree import RowPositions, Tree, TreeNode, assign_slots, build_histograms, grow_tree
 
 __all__ = [
     "BinMapper",
@@ -11,6 +11,7 @@ __all__ = [
     "logistic_grad_hess",
     "Tree",
     "TreeNode",
+    "RowPositions",
     "grow_tree",
     "assign_slots",
     "build_histograms",

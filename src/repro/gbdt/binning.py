@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["BinMapper", "bin_codes"]
+__all__ = ["BinMapper", "fit_bin_mapper"]
 
 
 @dataclass(frozen=True)
@@ -21,10 +21,11 @@ class BinMapper:
 
     ``edges[f]`` is a strictly increasing 1-D array of candidate split
     thresholds for feature ``f``. A value ``v`` maps to bin
-    ``searchsorted(edges[f], v, side='right')`` — i.e. bin ``b`` holds
+    ``searchsorted(edges[f], v, side='left')`` — i.e. bin ``b`` holds
     values in ``(edges[b-1], edges[b]]`` with open ends — so there are
     ``len(edges[f]) + 1`` bins and a split "``<= edges[f][b]``" separates
-    bins ``0..b`` from ``b+1..``.
+    bins ``0..b`` from ``b+1..``. NaN sorts after every edge, so it lands
+    in the highest bin, ``len(edges[f])``, together with ``+inf``.
     """
 
     edges: tuple[np.ndarray, ...]
@@ -40,10 +41,25 @@ class BinMapper:
     def max_bins(self) -> int:
         return max((len(e) for e in self.edges), default=0) + 1
 
-    def transform(self, X: np.ndarray) -> np.ndarray:
-        """Map float matrix (n, m) to int32 bin codes (n, m)."""
+    @property
+    def code_dtype(self) -> np.dtype:
+        """Smallest unsigned dtype that holds every bin code."""
+        return np.dtype(np.uint8 if self.max_bins <= 256 else np.uint16)
+
+    def transform(self, X: np.ndarray, compact: bool = False) -> np.ndarray:
+        """Map float matrix (n, m) to bin codes (n, m).
+
+        By default the codes are a row-major ``int32`` matrix. With
+        ``compact=True`` they are written straight into a column-major
+        (Fortran-ordered) matrix of :attr:`code_dtype`, so ``codes[:, f]``
+        is contiguous and a 100k × 500 matrix takes 50 MB; GBDT training
+        uses this form.
+        """
         X = np.asarray(X, dtype=np.float64)
-        out = np.empty(X.shape, dtype=np.int32)
+        if compact:
+            out = np.empty(X.shape, dtype=self.code_dtype, order="F")
+        else:
+            out = np.empty(X.shape, dtype=np.int32)
         for f in range(self.n_features):
             out[:, f] = np.searchsorted(self.edges[f], X[:, f], side="left")
         return out
@@ -54,14 +70,16 @@ def _feature_edges(col: np.ndarray, n_bins: int) -> np.ndarray:
 
     Midpoints between consecutive distinct quantiles are used as thresholds
     so that a threshold never equals a data value exactly (robust to the
-    left/right searchsorted convention). NaNs are routed to the lowest bin
-    by replacing them with -inf upstream; here they are simply ignored for
-    edge estimation.
+    left/right searchsorted convention). Non-finite values (NaN, ±inf) are
+    ignored for edge estimation; :meth:`BinMapper.transform` later sends
+    NaN and +inf to the highest bin and -inf to bin 0. The column is
+    sorted once: the distinct values and the quantiles both come from that
+    sorted copy.
     """
-    col = col[np.isfinite(col)]
+    col = np.sort(col[np.isfinite(col)])
     if col.size == 0:
         return np.empty(0, dtype=np.float64)
-    uniq = np.unique(col)
+    uniq = col[np.concatenate(([True], col[1:] != col[:-1]))]
     if len(uniq) <= 1:
         return np.empty(0, dtype=np.float64)
     if len(uniq) <= n_bins:
@@ -82,8 +100,3 @@ def fit_bin_mapper(X: np.ndarray, n_bins: int = 64) -> BinMapper:
     return BinMapper(
         edges=tuple(_feature_edges(X[:, f], n_bins) for f in range(X.shape[1]))
     )
-
-
-def bin_codes(X: np.ndarray, mapper: BinMapper) -> np.ndarray:
-    """Convenience wrapper: ``mapper.transform(X)``."""
-    return mapper.transform(X)

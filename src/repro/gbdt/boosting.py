@@ -9,6 +9,10 @@ importance — the exact algorithmic surface SAFE relies on.
 
 The numpy engine lives here; :mod:`repro.gbdt.spark_backend` plugs a
 distributed histogram callback into the same :func:`repro.gbdt.tree.grow_tree`.
+The numpy engine bins once into compact column-major codes, carries each
+row's node through a tree (:class:`repro.gbdt.tree.RowPositions`) and adds
+the leaf values at those positions to the margin after each tree, so no
+row is routed from the root again.
 """
 from __future__ import annotations
 
@@ -17,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .binning import BinMapper, fit_bin_mapper
-from .tree import Tree, assign_slots, build_histograms, grow_tree
+from .tree import RowPositions, Tree, build_histograms, grow_tree
 
 __all__ = ["GBDTClassifier", "sigmoid", "logistic_grad_hess"]
 
@@ -68,7 +72,7 @@ class GBDTClassifier:
         y = np.asarray(y, dtype=np.float64)
         self.n_features_ = X.shape[1]
         self.mapper_ = fit_bin_mapper(X, self.n_bins)
-        codes = self.mapper_.transform(X)
+        codes = self.mapper_.transform(X, compact=True)
         max_bins = self.mapper_.max_bins
         margin = np.full(len(y), self._base_margin(y), dtype=np.float64)
         rng = np.random.default_rng(self.random_state)
@@ -80,8 +84,10 @@ class GBDTClassifier:
                 grad = np.where(mask, grad, 0.0)
                 hess = np.where(mask, hess, 0.0)
 
+            rows = RowPositions(codes)
+
             def hist_fn(tree, frontier):
-                slots = assign_slots(tree, frontier, codes)
+                slots = rows.slots(tree, frontier)
                 return build_histograms(
                     codes, grad, hess, slots, max(frontier) + 1, max_bins
                 )
@@ -96,7 +102,7 @@ class GBDTClassifier:
                 learning_rate=self.learning_rate,
             )
             self.trees_.append(tree)
-            margin += tree.predict_binned(codes)
+            margin += rows.leaf_values(tree)
         return self
 
     def _base_margin(self, y: np.ndarray | None = None) -> float:

@@ -12,6 +12,15 @@ Architecture (same as distributed XGBoost's histogram algorithm):
    which then runs the exact same :func:`repro.gbdt.tree.grow_tree`
    split logic as the numpy engine.
 
+Below the root, :func:`repro.gbdt.tree.grow_tree` asks only for the
+smaller child of each split and derives its sibling by subtraction. Rows
+on a derived sibling reach a node with ``feature == -1`` in
+:func:`repro.gbdt.tree.assign_slots`, so they are inactive in the scan:
+the job count per level is unchanged and the partials shrink by about
+half. Each partition turns its codes into the same compact column-major
+form the numpy engine uses before it calls
+:func:`repro.gbdt.tree.build_histograms`.
+
 Margins are recomputed statelessly per scan (no mutable column chain, no
 lineage growth); with K ≤ ~20 small trees the re-prediction cost is noise
 next to the scan itself.
@@ -73,6 +82,7 @@ class SparkGBDTClassifier:
         spark = df.sparkSession
         mapper_bc = spark.sparkContext.broadcast(self.mapper_)
         max_bins = self.mapper_.max_bins
+        code_dtype = self.mapper_.code_dtype
         m = len(feature_cols)
         base_margin = self._base_margin()
 
@@ -110,10 +120,9 @@ class SparkGBDTClassifier:
                     def partial(iterator):
                         ptree, pfrontier = tree_bc.value
                         for pdf in iterator:
-                            codes = (
-                                pdf[[f"c{i}" for i in range(m)]]
-                                .to_numpy()
-                                .astype(np.int32)
+                            codes = np.asfortranarray(
+                                pdf[[f"c{i}" for i in range(m)]].to_numpy(),
+                                dtype=code_dtype,
                             )
                             y = pdf["_y"].to_numpy(dtype=np.float64)
                             margin = np.full(len(y), base_margin)

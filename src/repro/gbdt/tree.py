@@ -10,6 +10,12 @@ Split finding runs on the *driver* over already-aggregated histograms; the
 histograms themselves come from a backend callback, so the same growth code
 serves the numpy backend (histograms from local arrays) and the Spark
 backend (histograms reduced from per-partition ``mapInPandas`` partials).
+
+Each level costs exactly one histogram pass. That pass covers only the
+smaller child of each split; the sibling's histogram is the parent's minus
+the child's (the subtraction trick of XGBoost-hist and LightGBM). The numpy
+backend also carries each row's node from level to level
+(:class:`RowPositions`) instead of routing every row from the root.
 """
 from __future__ import annotations
 
@@ -19,7 +25,14 @@ import numpy as np
 
 from .binning import BinMapper
 
-__all__ = ["Tree", "TreeNode", "grow_tree", "build_histograms", "assign_slots"]
+__all__ = [
+    "Tree",
+    "TreeNode",
+    "RowPositions",
+    "grow_tree",
+    "build_histograms",
+    "assign_slots",
+]
 
 
 @dataclass
@@ -148,6 +161,50 @@ def assign_slots(
     return out
 
 
+class RowPositions:
+    """Each training row's current node, carried from one level to the next.
+
+    ``pos[i]`` is the id of the node row ``i`` sits on. Each call moves the
+    rows of nodes split since the previous call down to their children,
+    touching no other row, so rows are never routed from the root again.
+    Routing uses the same rule as :meth:`Tree.predict_binned`
+    (``code <= bin_threshold`` goes left), so :meth:`leaf_values` equals it
+    bit for bit.
+    """
+
+    def __init__(self, codes: np.ndarray):
+        self.codes = codes
+        self.pos = np.zeros(len(codes), dtype=np.intp)
+        self._open = [0]  # nodes that hold rows; a split one is moved on
+
+    def _advance(self, tree: Tree) -> None:
+        todo, self._open = self._open, []
+        while todo:
+            nid = todo.pop()
+            node = tree.nodes[nid]
+            if node.feature < 0:
+                self._open.append(nid)
+                continue
+            rows = np.flatnonzero(self.pos == nid)
+            left = self.codes[:, node.feature].take(rows) <= node.bin_threshold
+            self.pos[rows[left]] = node.left
+            self.pos[rows[~left]] = node.right
+            todo += [node.left, node.right]
+
+    def slots(self, tree: Tree, frontier: dict[int, int]) -> np.ndarray:
+        """Same result as ``assign_slots(tree, frontier, codes)``."""
+        self._advance(tree)
+        lut = np.full(len(tree.nodes), -1, dtype=np.intp)
+        for slot, nid in frontier.items():
+            lut[nid] = slot
+        return lut[self.pos]
+
+    def leaf_values(self, tree: Tree) -> np.ndarray:
+        """Same result as ``tree.predict_binned(codes)`` for a grown tree."""
+        self._advance(tree)
+        return np.array([n.value for n in tree.nodes], dtype=np.float64)[self.pos]
+
+
 def build_histograms(
     codes: np.ndarray,
     grad: np.ndarray,
@@ -159,24 +216,30 @@ def build_histograms(
     """Per-(slot, feature, bin) gradient/hessian sums.
 
     Returns ``(gh, hh)`` each of shape (n_slots, n_features, max_bins).
-    This is the only data-size-dependent step of tree growth; the Spark
-    backend computes it per partition and sums the partials.
+    ``codes`` is any (n, m) integer matrix; column-major ``uint8``/``uint16``
+    codes (``BinMapper.transform(X, compact=True)``) are the fast case,
+    because each feature's column is then one contiguous read. Rows with
+    slot -1 are skipped. This is the only data-size-dependent step of tree
+    growth; the Spark backend computes it per partition and sums the
+    partials.
     """
-    _n, m = codes.shape
+    n, m = codes.shape
     gh = np.zeros((n_slots, m, max_bins), dtype=np.float64)
     hh = np.zeros((n_slots, m, max_bins), dtype=np.float64)
-    active = slot_of_row >= 0
-    slots_a = slot_of_row[active]
-    grad_a = grad[active]
-    hess_a = hess[active]
-    codes_a = codes[active]
+    rows = np.flatnonzero(slot_of_row >= 0)
+    subset = rows.size < n
+    if subset:
+        grad, hess = grad[rows], hess[rows]
+    base = slot_of_row[rows] * max_bins
     size = n_slots * max_bins
     for f in range(m):
-        flat = slots_a * max_bins + codes_a[:, f]
-        gh[:, f, :] += np.bincount(flat, weights=grad_a, minlength=size).reshape(
+        flat = codes[:, f].take(rows) if subset else codes[:, f]
+        if n_slots > 1:
+            flat = flat + base
+        gh[:, f, :] = np.bincount(flat, weights=grad, minlength=size).reshape(
             n_slots, max_bins
         )
-        hh[:, f, :] += np.bincount(flat, weights=hess_a, minlength=size).reshape(
+        hh[:, f, :] = np.bincount(flat, weights=hess, minlength=size).reshape(
             n_slots, max_bins
         )
     return gh, hh
@@ -234,13 +297,18 @@ def grow_tree(
     min_child_weight: float = 1e-3,
     learning_rate: float = 0.3,
 ) -> Tree:
-    """Grow one tree level-wise.
+    """Grow one tree level-wise with histogram subtraction.
 
     ``histogram_fn(tree, frontier) -> (gh, hh)`` returns per-slot histograms
     of shape (max(frontier)+1, m, max_bins); ``frontier`` maps slot → node
-    index in ``tree.nodes``. Child leaf values are derived from the split's
-    own histogram sums (−G/(H+λ)·lr), so each level costs exactly one
-    histogram pass.
+    index in ``tree.nodes``, with slots numbered 0, 1, 2, … . The frontier
+    holds only the child of each split with the smaller hessian sum
+    (``HL <= H − HL`` picks the left one). The sibling's histogram is the
+    parent's minus that child's, so no row on a sibling is scanned: it sits
+    on a node with ``feature == -1``, which :func:`assign_slots` treats as
+    inactive. Child leaf values come from the split's own histogram sums
+    (−G/(H+λ)·lr), so each level costs exactly one histogram pass, and
+    the passes below the root read about half the rows.
     """
 
     def leaf_value(G: float, H: float) -> float:
@@ -248,12 +316,19 @@ def grow_tree(
 
     tree = Tree([TreeNode()])
     frontier = {0: 0}
+    derived: list[tuple[int, int, int]] = []  # (node, parent, built sibling)
+    parent_hists: dict[int, tuple[np.ndarray, np.ndarray]] = {}
     for _depth in range(max_depth):
         gh, hh = histogram_fn(tree, frontier)
-        new_frontier: dict[int, int] = {}
-        for slot, nid in sorted(frontier.items()):
+        hists = {nid: (gh[slot], hh[slot]) for slot, nid in frontier.items()}
+        for nid, parent, sibling in derived:
+            pg, ph = parent_hists[parent]
+            sg, sh = hists[sibling]
+            hists[nid] = (pg - sg, ph - sh)
+        frontier, derived = {}, []
+        for nid in sorted(hists):
             gain, f, b, GL, HL, G, H = _best_split(
-                gh[slot], hh[slot], mapper, reg_lambda, gamma, min_child_weight
+                *hists[nid], mapper, reg_lambda, gamma, min_child_weight
             )
             node = tree.nodes[nid]
             if gain <= 0 or f < 0:
@@ -267,9 +342,12 @@ def grow_tree(
             tree.nodes.append(TreeNode(value=leaf_value(GL, HL)))
             node.right = len(tree.nodes)
             tree.nodes.append(TreeNode(value=leaf_value(G - GL, H - HL)))
-            new_frontier[2 * slot] = node.left
-            new_frontier[2 * slot + 1] = node.right
-        frontier = new_frontier
+            small, large = (
+                (node.left, node.right) if HL <= H - HL else (node.right, node.left)
+            )
+            frontier[len(frontier)] = small
+            derived.append((large, nid, small))
+        parent_hists = hists
         if not frontier:
             break
     return tree

@@ -102,3 +102,67 @@ def test_nan_ignored_for_edges():
     mapper = fit_bin_mapper(x[:, None], 4)
     assert len(mapper.edges[0]) >= 1
     assert np.all(np.isfinite(mapper.edges[0]))
+
+
+def _two_pass_edges(col, n_bins):
+    """Edges as computed with np.unique followed by np.quantile."""
+    col = col[np.isfinite(col)]
+    if col.size == 0:
+        return np.empty(0)
+    uniq = np.unique(col)
+    if len(uniq) <= 1:
+        return np.empty(0)
+    if len(uniq) <= n_bins:
+        return (uniq[:-1] + uniq[1:]) / 2.0
+    qs = np.unique(np.quantile(col, np.linspace(0, 1, n_bins + 1)[1:-1]))
+    idx = np.clip(np.searchsorted(uniq, qs, side="right"), 1, len(uniq) - 1)
+    return np.unique((uniq[idx - 1] + uniq[idx]) / 2.0)
+
+
+@pytest.mark.parametrize("n_bins", [4, 64, 300])
+def test_single_sort_edges_equal_two_pass_edges(n_bins):
+    rng = np.random.default_rng(8)
+    cols = [
+        rng.normal(size=3000),
+        np.round(rng.normal(size=3000) * 3),
+        rng.exponential(size=3000) ** 3,
+        np.where(rng.random(3000) < 0.1, np.nan, rng.normal(size=3000)),
+        np.full(3000, 2.5),
+        np.concatenate([[-np.inf, np.inf], rng.normal(size=500)]),
+    ]
+    X = np.column_stack([c[:500] for c in cols])
+    mapper = fit_bin_mapper(X, n_bins)
+    for f in range(X.shape[1]):
+        np.testing.assert_array_equal(mapper.edges[f], _two_pass_edges(X[:, f], n_bins))
+
+
+def test_nan_goes_to_highest_bin():
+    """NaN sorts after every edge: same bin as +inf; -inf gets bin 0."""
+    x = np.array([1.0, 2.0, 3.0, 4.0, np.nan, np.inf, -np.inf])
+    mapper = fit_bin_mapper(x[:, None], 4)
+    top = len(mapper.edges[0])
+    for compact in (False, True):
+        codes = mapper.transform(x[:, None], compact=compact)[:, 0]
+        assert codes[4] == top
+        assert codes[5] == top
+        assert codes[6] == 0
+
+
+def test_compact_codes_are_column_major_uint8():
+    X = np.random.default_rng(9).normal(size=(400, 3))
+    mapper = fit_bin_mapper(X, 64)
+    codes = mapper.transform(X, compact=True)
+    assert codes.dtype == np.uint8
+    assert codes.flags.f_contiguous
+    np.testing.assert_array_equal(codes, mapper.transform(X))
+
+
+def test_compact_codes_widen_to_uint16_past_256_bins():
+    X = np.random.default_rng(10).normal(size=(4000, 2))
+    mapper = fit_bin_mapper(X, 300)
+    assert mapper.max_bins > 256
+    codes = mapper.transform(X, compact=True)
+    assert codes.dtype == np.uint16
+    assert codes.flags.f_contiguous
+    assert codes.max() > 255
+    np.testing.assert_array_equal(codes, mapper.transform(X))

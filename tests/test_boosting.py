@@ -1,8 +1,15 @@
 """Unit tests for the GBDT classifier (XGBoost substrate)."""
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from repro.core.pipeline import SafePipeline
+from repro.core.plan import FeaturePlan
+from repro.experiments.datasets import BUSINESS_DATASETS, LABEL_COL, make_dataset
 from repro.gbdt import GBDTClassifier, sigmoid, logistic_grad_hess
+from repro.gbdt.tree import RowPositions
 from repro.models.evaluation import auc_score
 
 
@@ -131,3 +138,44 @@ def test_constant_features_no_crash():
     m = GBDTClassifier(n_estimators=3).fit(X, y)
     assert len(m.paths()) == 0
     assert m.split_features() == set()
+
+
+# ---- carried row positions, uint16 codes, golden SAFE plan ---------------
+def test_carried_margins_equal_predict_binned(monkeypatch, xor_data):
+    """Each tree's margin update from row positions is bitwise predict_binned."""
+    checked = []
+    leaf_values = RowPositions.leaf_values
+
+    def leaf_values_checked(self, tree):
+        out = leaf_values(self, tree)
+        np.testing.assert_array_equal(out, tree.predict_binned(self.codes))
+        checked.append(tree)
+        return out
+
+    monkeypatch.setattr(RowPositions, "leaf_values", leaf_values_checked)
+    Xtr, ytr, _X, _y = xor_data
+    m = GBDTClassifier(n_estimators=10, max_depth=4, subsample=0.8).fit(Xtr, ytr)
+    assert checked == m.trees_
+
+
+def test_uint16_codes_fit_with_300_bins():
+    rng = np.random.default_rng(5)
+    X = rng.normal(size=(3000, 3))
+    y = (rng.random(3000) < sigmoid(2.0 * X[:, 0] * X[:, 1])).astype(int)
+    m = GBDTClassifier(n_estimators=5, n_bins=300).fit(X, y)
+    assert m.mapper_.code_dtype == np.uint16
+    assert auc_score(y, m.predict_proba(X)[:, 1]) > 0.7
+    m2 = GBDTClassifier(n_estimators=5, n_bins=300).fit(X, y)
+    np.testing.assert_array_equal(m.decision_function(X), m2.decision_function(X))
+
+
+def test_safe_local_fit_matches_golden_plan():
+    """A fixed-seed local SAFE fit reproduces a frozen plan.
+
+    The full-histogram grower (no subtraction) produced the same plan.
+    """
+    spec = replace(BUSINESS_DATASETS[0], n_train=10_000, n_valid=2_500, n_test=10, seed=201)
+    train, valid, _test = make_dataset(spec)
+    plan = SafePipeline(gamma=8, top_k=16).fit(train, LABEL_COL, valid, engine="local")
+    golden = Path(__file__).with_name("golden_plan_data1.json").read_text()
+    assert plan == FeaturePlan.from_json(golden)
