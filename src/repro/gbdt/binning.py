@@ -46,20 +46,10 @@ class BinMapper:
         """Smallest unsigned dtype that holds every bin code."""
         return np.dtype(np.uint8 if self.max_bins <= 256 else np.uint16)
 
-    def transform(self, X: np.ndarray, compact: bool = False) -> np.ndarray:
-        """Map float matrix (n, m) to bin codes (n, m).
-
-        By default the codes are a row-major ``int32`` matrix. With
-        ``compact=True`` they are written straight into a column-major
-        (Fortran-ordered) matrix of :attr:`code_dtype`, so ``codes[:, f]``
-        is contiguous and a 100k × 500 matrix takes 50 MB; GBDT training
-        uses this form.
-        """
+    def transform(self, X: np.ndarray) -> np.ndarray:
+        """Map float matrix (n, m) to int32 bin codes (n, m)."""
         X = np.asarray(X, dtype=np.float64)
-        if compact:
-            out = np.empty(X.shape, dtype=self.code_dtype, order="F")
-        else:
-            out = np.empty(X.shape, dtype=np.int32)
+        out = np.empty(X.shape, dtype=np.int32)
         for f in range(self.n_features):
             out[:, f] = np.searchsorted(self.edges[f], X[:, f], side="left")
         return out

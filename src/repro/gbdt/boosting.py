@@ -72,7 +72,9 @@ class GBDTClassifier:
         y = np.asarray(y, dtype=np.float64)
         self.n_features_ = X.shape[1]
         self.mapper_ = fit_bin_mapper(X, self.n_bins)
-        codes = self.mapper_.transform(X, compact=True)
+        codes = np.asfortranarray(
+            self.mapper_.transform(X), dtype=self.mapper_.code_dtype
+        )
         max_bins = self.mapper_.max_bins
         margin = np.full(len(y), self._base_margin(y), dtype=np.float64)
         rng = np.random.default_rng(self.random_state)

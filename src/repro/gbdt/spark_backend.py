@@ -17,9 +17,7 @@ smaller child of each split and derives its sibling by subtraction. Rows
 on a derived sibling reach a node with ``feature == -1`` in
 :func:`repro.gbdt.tree.assign_slots`, so they are inactive in the scan:
 the job count per level is unchanged and the partials shrink by about
-half. Each partition turns its codes into the same compact column-major
-form the numpy engine uses before it calls
-:func:`repro.gbdt.tree.build_histograms`.
+half.
 
 Margins are recomputed statelessly per scan (no mutable column chain, no
 lineage growth); with K ≤ ~20 small trees the re-prediction cost is noise
@@ -82,7 +80,6 @@ class SparkGBDTClassifier:
         spark = df.sparkSession
         mapper_bc = spark.sparkContext.broadcast(self.mapper_)
         max_bins = self.mapper_.max_bins
-        code_dtype = self.mapper_.code_dtype
         m = len(feature_cols)
         base_margin = self._base_margin()
 
@@ -120,9 +117,10 @@ class SparkGBDTClassifier:
                     def partial(iterator):
                         ptree, pfrontier = tree_bc.value
                         for pdf in iterator:
-                            codes = np.asfortranarray(
-                                pdf[[f"c{i}" for i in range(m)]].to_numpy(),
-                                dtype=code_dtype,
+                            codes = (
+                                pdf[[f"c{i}" for i in range(m)]]
+                                .to_numpy()
+                                .astype(np.int32)
                             )
                             y = pdf["_y"].to_numpy(dtype=np.float64)
                             margin = np.full(len(y), base_margin)

@@ -216,11 +216,11 @@ def build_histograms(
     """Per-(slot, feature, bin) gradient/hessian sums.
 
     Returns ``(gh, hh)`` each of shape (n_slots, n_features, max_bins).
-    ``codes`` is any (n, m) integer matrix; column-major ``uint8``/``uint16``
-    codes (``BinMapper.transform(X, compact=True)``) are the fast case,
-    because each feature's column is then one contiguous read. Rows with
-    slot -1 are skipped. This is the only data-size-dependent step of tree
-    growth; the Spark backend computes it per partition and sums the
+    ``codes`` is any (n, m) integer matrix; the column-major
+    ``uint8``/``uint16`` codes the numpy engine trains on are the fast
+    case, because each feature's column is then one contiguous read. Rows
+    with slot -1 are skipped. This is the only data-size-dependent step of
+    tree growth; the Spark backend computes it per partition and sums the
     partials.
     """
     n, m = codes.shape

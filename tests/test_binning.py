@@ -141,28 +141,25 @@ def test_nan_goes_to_highest_bin():
     x = np.array([1.0, 2.0, 3.0, 4.0, np.nan, np.inf, -np.inf])
     mapper = fit_bin_mapper(x[:, None], 4)
     top = len(mapper.edges[0])
-    for compact in (False, True):
-        codes = mapper.transform(x[:, None], compact=compact)[:, 0]
-        assert codes[4] == top
-        assert codes[5] == top
-        assert codes[6] == 0
+    codes = mapper.transform(x[:, None])[:, 0]
+    assert codes[4] == top
+    assert codes[5] == top
+    assert codes[6] == 0
 
 
-def test_compact_codes_are_column_major_uint8():
+def test_code_dtype_is_uint8_up_to_256_bins():
     X = np.random.default_rng(9).normal(size=(400, 3))
     mapper = fit_bin_mapper(X, 64)
-    codes = mapper.transform(X, compact=True)
-    assert codes.dtype == np.uint8
-    assert codes.flags.f_contiguous
-    np.testing.assert_array_equal(codes, mapper.transform(X))
+    assert mapper.code_dtype == np.uint8
+    codes = mapper.transform(X)
+    np.testing.assert_array_equal(codes.astype(mapper.code_dtype), codes)
 
 
-def test_compact_codes_widen_to_uint16_past_256_bins():
+def test_code_dtype_widens_to_uint16_past_256_bins():
     X = np.random.default_rng(10).normal(size=(4000, 2))
     mapper = fit_bin_mapper(X, 300)
     assert mapper.max_bins > 256
-    codes = mapper.transform(X, compact=True)
-    assert codes.dtype == np.uint16
-    assert codes.flags.f_contiguous
+    assert mapper.code_dtype == np.uint16
+    codes = mapper.transform(X)
     assert codes.max() > 255
-    np.testing.assert_array_equal(codes, mapper.transform(X))
+    np.testing.assert_array_equal(codes.astype(mapper.code_dtype), codes)

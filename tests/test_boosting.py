@@ -169,13 +169,41 @@ def test_uint16_codes_fit_with_300_bins():
     np.testing.assert_array_equal(m.decision_function(X), m2.decision_function(X))
 
 
+def _local_safe_plan(n_train, n_valid, seed):
+    spec = replace(
+        BUSINESS_DATASETS[0], n_train=n_train, n_valid=n_valid, n_test=10, seed=seed
+    )
+    train, valid, _test = make_dataset(spec)
+    return SafePipeline(gamma=8, top_k=16).fit(train, LABEL_COL, valid, engine="local")
+
+
+def _golden_plan(name):
+    return FeaturePlan.from_json(Path(__file__).with_name(name).read_text())
+
+
 def test_safe_local_fit_matches_golden_plan():
     """A fixed-seed local SAFE fit reproduces a frozen plan.
 
     The full-histogram grower (no subtraction) produced the same plan.
     """
-    spec = replace(BUSINESS_DATASETS[0], n_train=10_000, n_valid=2_500, n_test=10, seed=201)
-    train, valid, _test = make_dataset(spec)
-    plan = SafePipeline(gamma=8, top_k=16).fit(train, LABEL_COL, valid, engine="local")
-    golden = Path(__file__).with_name("golden_plan_data1.json").read_text()
-    assert plan == FeaturePlan.from_json(golden)
+    plan = _local_safe_plan(10_000, 2_500, seed=201)
+    assert plan == _golden_plan("golden_plan_data1.json")
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="split ties decided by histogram summation order; ROADMAP item 5",
+)
+@pytest.mark.parametrize("seed", [201, 7])
+def test_safe_local_fit_at_6k_rows_differs_from_full_histogram_plan(seed):
+    """Known divergence from the full-histogram grower at 6k + 2k rows.
+
+    The golden files hold the plans the full-histogram grower produced.
+    Here one ranking-tree node has two splits that separate the same rows
+    with gains equal up to rounding; subtracted histograms round
+    differently, so the other split wins and the plan changes. A
+    deterministic tie rule would make this test pass (strict xfail then
+    fails) and needs fresh golden plans.
+    """
+    plan = _local_safe_plan(6_000, 2_000, seed=seed)
+    assert plan == _golden_plan(f"golden_plan_data1_6k_seed{seed}.json")

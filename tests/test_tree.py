@@ -15,6 +15,11 @@ from repro.gbdt.tree import (
 )
 
 
+def _compact_codes(mapper, X):
+    """The column-major uint8/uint16 codes the numpy engine trains on."""
+    return np.asfortranarray(mapper.transform(X), dtype=mapper.code_dtype)
+
+
 def _local_hist_fn(codes, grad, hess, mapper):
     def fn(tree, frontier):
         slots = assign_slots(tree, frontier, codes)
@@ -257,7 +262,7 @@ def _structure(tree):
 def test_sibling_histogram_by_subtraction_matches_direct():
     X, y = _tied_data(0)
     mapper = fit_bin_mapper(X, 32)
-    codes = mapper.transform(X, compact=True)
+    codes = _compact_codes(mapper, X)
     grad, hess = logistic_grad_hess(np.zeros(len(y)), y)
     B = mapper.max_bins
     on_node = X[:, 0] > -1.0  # a parent node that holds part of the rows
@@ -275,7 +280,7 @@ def test_sibling_histogram_by_subtraction_matches_direct():
 def test_row_positions_match_root_routing_and_predict_binned():
     X, y = _tied_data(1)
     mapper = fit_bin_mapper(X, 32)
-    codes = mapper.transform(X, compact=True)
+    codes = _compact_codes(mapper, X)
     grad, hess = logistic_grad_hess(np.zeros(len(y)), y)
     rows = RowPositions(codes)
 
@@ -328,7 +333,7 @@ def test_subtraction_grower_matches_full_histogram_grower(seed):
     """Same (feature, bin) trees over boosting rounds with subsampling."""
     X, y = _tied_data(seed)
     mapper = fit_bin_mapper(X, 32)
-    codes = mapper.transform(X, compact=True)
+    codes = _compact_codes(mapper, X)
     rng = np.random.default_rng(seed)
     margin = np.zeros(len(y))
     for _round in range(8):
@@ -341,7 +346,10 @@ def test_subtraction_grower_matches_full_histogram_grower(seed):
         ref = _reference_grow_tree(fn, mapper, max_depth=4)
         assert _structure(new) == _structure(ref)
         np.testing.assert_allclose(
-            [n.value for n in new.nodes], [n.value for n in ref.nodes], rtol=0, atol=1e-12
+            [n.value for n in new.nodes],
+            [n.value for n in ref.nodes],
+            rtol=0,
+            atol=1e-12,
         )
         np.testing.assert_allclose(
             [n.gain for n in new.nodes], [n.gain for n in ref.nodes], rtol=1e-9
@@ -356,7 +364,7 @@ def test_histograms_accept_compact_and_int32_codes_alike():
     slots = np.random.default_rng(3).integers(-1, 3, len(y))
     wide = build_histograms(mapper.transform(X), grad, hess, slots, 3, mapper.max_bins)
     compact = build_histograms(
-        mapper.transform(X, compact=True), grad, hess, slots, 3, mapper.max_bins
+        _compact_codes(mapper, X), grad, hess, slots, 3, mapper.max_bins
     )
     np.testing.assert_array_equal(wide[0], compact[0])
     np.testing.assert_array_equal(wide[1], compact[1])
