@@ -1,8 +1,9 @@
 """Table VIII — classification AUC on the business-scale datasets.
 
 The feature-engineering fit runs on the **distributed Spark engine**
-(SparkEngine + SparkGBDTClassifier: approxQuantile binning, mapInPandas
-histogram partials, distributed IV / Pearson / gain-ratio) — the setting
+(SparkEngine + ``GBDTClassifier.fit_spark``: approxQuantile binning,
+mapInPandas histogram partials, distributed IV / Pearson / gain-ratio),
+through the same ``runner.fit_method`` as Table III — the setting
 that makes this the paper's scalability experiment. Downstream evaluation
 classifiers (LR, RF, XGB — the paper's Table VIII set) train driver-side
 on the Ψ-transformed frames, mirroring the paper where the classifier is a
@@ -15,7 +16,6 @@ at this scale).
 """
 import argparse
 import sys
-import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -26,10 +26,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 import _common  # noqa: E402
 from _common import emit, get_spark  # noqa: E402
 
-from repro.baselines import RandomGenPipeline  # noqa: E402
-from repro.core.pipeline import SafePipeline  # noqa: E402
-from repro.core.plan import FeaturePlan  # noqa: E402
 from repro.experiments.datasets import BUSINESS_DATASETS, LABEL_COL, make_dataset  # noqa: E402
+from repro.experiments.runner import fit_method  # noqa: E402
 from repro.models import make_classifier  # noqa: E402
 from repro.models.evaluation import auc_score  # noqa: E402
 
@@ -44,24 +42,6 @@ CLF_PARAMS = {
     "XGB": {"n_estimators": 30, "max_depth": 4},
     "LR": {},
 }
-
-
-def _fit(method, sdf, train, valid, seed=0):
-    if method == "ORIG":
-        cols = [c for c in train.columns if c != LABEL_COL]
-        return FeaturePlan.identity(cols, LABEL_COL)
-    if method in ("RAND", "IMP"):
-        return RandomGenPipeline(
-            mode=method.lower(),
-            random_state=seed,
-            mining_gbdt=GBDT,
-            ranking_gbdt=GBDT,
-        ).fit(sdf, LABEL_COL, engine="spark")
-    if method == "SAFE":
-        return SafePipeline(mining_gbdt=GBDT, ranking_gbdt=GBDT).fit(
-            sdf, LABEL_COL, engine="spark"
-        )
-    raise KeyError(method)
 
 
 def main(spark=None, scale=1.0, datasets=None):
@@ -80,9 +60,10 @@ def main(spark=None, scale=1.0, datasets=None):
         train, valid, test = make_dataset(spec)
         sdf = spark.createDataFrame(pd.concat([train, valid], ignore_index=True))
         for method in METHODS:
-            t0 = time.time()
-            plan = _fit(method, sdf, train, valid)
-            fit_s = time.time() - t0
+            res = fit_method(
+                method, sdf, LABEL_COL, engine="spark", mining_gbdt=GBDT, ranking_gbdt=GBDT
+            )
+            plan, fit_s = res.plan, res.fit_seconds
             ftr = plan.apply_pandas(train)
             fte = plan.apply_pandas(test)
             Xtr = ftr.drop(columns=LABEL_COL).to_numpy(dtype=np.float64)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core.gain_ratio import _entropy
+from ..core.gain_ratio import _info_gain
 from ..core.iv import equal_freq_bin
 
 __all__ = ["info_gain", "info_gain_from_codes"]
@@ -13,19 +13,10 @@ __all__ = ["info_gain", "info_gain_from_codes"]
 def info_gain_from_codes(codes: np.ndarray, y: np.ndarray) -> float:
     """IG of a pre-binned feature against a boolean label."""
     y = np.asarray(y).astype(bool)
-    n = len(y)
-    if n == 0:
-        return 0.0
     n_bins = int(codes.max()) + 1 if len(codes) else 1
     pos = np.bincount(codes[y], minlength=n_bins).astype(np.float64)
     neg = np.bincount(codes[~y], minlength=n_bins).astype(np.float64)
-    tot = pos + neg
-    h_root = _entropy(np.array([pos.sum(), neg.sum()]))
-    h_cond = 0.0
-    for p, q in zip(pos, neg):
-        if p + q > 0:
-            h_cond += (p + q) / n * _entropy(np.array([p, q]))
-    return float(h_root - h_cond)
+    return _info_gain(pos, neg)
 
 
 def info_gain(x: np.ndarray, y: np.ndarray, bins: int = 10) -> float:

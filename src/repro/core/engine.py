@@ -22,7 +22,6 @@ import pandas as pd
 from pyspark.sql import DataFrame
 
 from ..gbdt import GBDTClassifier
-from ..gbdt.spark_backend import SparkGBDTClassifier
 from .combos import FeatureCombo
 from .correlation import pearson_matrix, pearson_matrix_spark
 from .gain_ratio import gain_ratios, gain_ratios_spark
@@ -76,18 +75,16 @@ class LocalEngine:
 class SparkEngine:
     """Distributed engine over a cached Spark DataFrame."""
 
-    def __init__(self, df: DataFrame, label_col: str, gbdt_cls=SparkGBDTClassifier):
+    def __init__(self, df: DataFrame, label_col: str):
         self.df = df.cache()
         self.label_col = label_col
-        self._gbdt_cls = gbdt_cls
 
     @property
     def feature_columns(self) -> list[str]:
         return [c for c in self.df.columns if c != self.label_col]
 
-    def fit_gbdt(self, cols: list[str], **params) -> SparkGBDTClassifier:
-        model = self._gbdt_cls(**params)
-        return model.fit(self.df, cols, self.label_col)
+    def fit_gbdt(self, cols: list[str], **params) -> GBDTClassifier:
+        return GBDTClassifier(**params).fit_spark(self.df, cols, self.label_col)
 
     def gain_ratios(self, cols: list[str], combos: list[FeatureCombo]) -> list[float]:
         return gain_ratios_spark(self.df, cols, self.label_col, combos)

@@ -16,6 +16,7 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame
+from pyspark.sql import functions as F
 
 from .combos import FeatureCombo
 
@@ -31,21 +32,26 @@ def _entropy(counts: np.ndarray) -> float:
     return float(-(p * np.log(p)).sum())
 
 
+def _info_gain(pos: np.ndarray, neg: np.ndarray) -> float:
+    """Information gain of a partition from per-cell positive/negative
+    counts: H(root) − Σ (p+q)/n · H(p, q)."""
+    n = (pos + neg).sum()
+    if n == 0:
+        return 0.0
+    h_root = _entropy(np.array([pos.sum(), neg.sum()]))
+    h_cond = 0.0
+    for p, q in zip(pos, neg):
+        if p + q > 0:
+            h_cond += (p + q) / n * _entropy(np.array([p, q]))
+    return float(h_root - h_cond)
+
+
 def gain_ratio_from_counts(cell_pos: np.ndarray, cell_neg: np.ndarray) -> float:
     """Gain ratio from per-cell positive/negative counts."""
     cell_pos = np.asarray(cell_pos, dtype=np.float64)
     cell_neg = np.asarray(cell_neg, dtype=np.float64)
-    n_cell = cell_pos + cell_neg
-    n = n_cell.sum()
-    if n == 0:
-        return 0.0
-    h_root = _entropy(np.array([cell_pos.sum(), cell_neg.sum()]))
-    h_cond = 0.0
-    for p, q in zip(cell_pos, cell_neg):
-        if p + q > 0:
-            h_cond += (p + q) / n * _entropy(np.array([p, q]))
-    split_info = _entropy(n_cell)
-    gain = h_root - h_cond
+    split_info = _entropy(cell_pos + cell_neg)
+    gain = _info_gain(cell_pos, cell_neg)
     return float(gain / split_info) if split_info > 1e-12 else 0.0
 
 
@@ -80,21 +86,20 @@ def gain_ratios(
     return [gain_ratio_from_counts(*_counts_for_combo(mat, yb, c)) for c in combos]
 
 
-def gain_ratios_spark(
+def _cell_counts_spark(
     df: DataFrame,
     feature_cols: list[str],
     label_col: str,
     combos: list[FeatureCombo],
-) -> list[float]:
-    """Gain ratio per combination in one distributed scan.
+) -> DataFrame:
+    """Lazy (``combo``, ``cell``) → ``pos``/``neg`` contingency of every
+    combination, non-empty cells only, from one ``mapInPandas`` scan.
 
-    Each partition emits a flattened (combo, cell, pos, neg) partial
-    contingency; partials are summed on the driver. Cells are tiny
-    (bounded by ``max_cells`` at mining time) so the collected partials
-    are O(#partitions · Σ cells).
+    Each partition emits its flattened partial contingency; the partials
+    are summed by a ``groupBy``. Cells are tiny (bounded by ``max_cells``
+    at mining time) so the partials are O(#partitions · Σ cells).
     """
     cols = list(feature_cols) + [label_col]
-    n_cells = [c.n_cells() for c in combos]
 
     def partial(iterator):
         for pdf in iterator:
@@ -111,14 +116,27 @@ def gain_ratios_spark(
     partials = df.select(*cols).mapInPandas(
         partial, schema="combo long, cell long, pos long, neg long"
     )
-    agg = partials.groupBy("combo", "cell").sum("pos", "neg").toPandas()
+    return partials.groupBy("combo", "cell").agg(
+        F.sum("pos").alias("pos"), F.sum("neg").alias("neg")
+    )
+
+
+def gain_ratios_spark(
+    df: DataFrame,
+    feature_cols: list[str],
+    label_col: str,
+    combos: list[FeatureCombo],
+) -> list[float]:
+    """Gain ratio per combination in one distributed scan
+    (:func:`_cell_counts_spark`); the driver finishes the arithmetic."""
+    agg = _cell_counts_spark(df, feature_cols, label_col, combos).toPandas()
     out = []
-    for ci in range(len(combos)):
+    for ci, combo in enumerate(combos):
         sub = agg[agg["combo"] == ci]
-        pos = np.zeros(n_cells[ci], dtype=np.int64)
-        neg = np.zeros(n_cells[ci], dtype=np.int64)
-        pos[sub["cell"].to_numpy()] = sub["sum(pos)"].to_numpy()
-        neg[sub["cell"].to_numpy()] = sub["sum(neg)"].to_numpy()
+        pos = np.zeros(combo.n_cells(), dtype=np.int64)
+        neg = np.zeros(combo.n_cells(), dtype=np.int64)
+        pos[sub["cell"].to_numpy()] = sub["pos"].to_numpy()
+        neg[sub["cell"].to_numpy()] = sub["neg"].to_numpy()
         out.append(gain_ratio_from_counts(pos, neg))
     return out
 

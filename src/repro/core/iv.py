@@ -89,33 +89,26 @@ def iv_scores(
     return out
 
 
-def iv_scores_spark(
+def _bin_counts_spark(
     df: DataFrame,
     feature_cols: list[str],
     label_col: str,
     beta: int = DEFAULT_BETA,
     rel_error: float = 0.001,
-) -> dict[str, float]:
-    """IV per feature, computed distributed.
-
-    Two Spark jobs regardless of the number of features: one
-    ``approxQuantile`` call for all bin edges, then one aggregation over a
-    ``stack``-ed (feature, bin, label) long format for the per-bin
-    positive/negative counts. IV itself is assembled on the driver from the
-    (n_features × beta)-row count table.
-    """
+) -> tuple[dict[str, list[float]], DataFrame]:
+    """Sorted distinct bin edges per feature (one ``approxQuantile`` job)
+    and the lazy (``_feat``, ``_bin``) → ``pos``/``neg`` count frame over
+    a ``stack``-ed long format. A value goes to the first bin whose edge
+    is >= it (numpy ``searchsorted`` side='left')."""
     probs = list(np.linspace(0, 1, beta + 1)[1:-1])
-    edges = dict(zip(feature_cols, df.stat.approxQuantile(feature_cols, probs, rel_error)))
+    qs = df.stat.approxQuantile(feature_cols, probs, rel_error)
+    edges = {c: sorted(set(q)) for c, q in zip(feature_cols, qs)}
 
     def bin_expr(c: str):
-        es = sorted(set(edges[c]))
+        es = edges[c]
         expr = F.lit(len(es))
-        # searchsorted(edges, x, 'left'): first bin whose edge >= x wins
         for i in reversed(range(len(es))):
             expr = F.when(F.col(c) <= F.lit(float(es[i])), F.lit(i)).otherwise(expr)
-        # a value strictly below every edge must land in bin 0; `<=` above
-        # already handles it. Values equal to an edge go left, matching
-        # numpy searchsorted side='left' on midpoint-free quantile edges.
         return expr
 
     stacked = df.select(
@@ -128,14 +121,29 @@ def iv_scores_spark(
     long = stacked.select(
         "_y", F.stack(F.lit(len(feature_cols)), *stack_args).alias("_feat", "_bin")
     )
-    counts = (
-        long.groupBy("_feat", "_bin")
-        .agg(
-            F.sum("_y").alias("pos"),
-            F.sum(1 - F.col("_y")).alias("neg"),
-        )
-        .toPandas()
+    counts = long.groupBy("_feat", "_bin").agg(
+        F.sum("_y").alias("pos"),
+        F.sum(1 - F.col("_y")).alias("neg"),
     )
+    return edges, counts
+
+
+def iv_scores_spark(
+    df: DataFrame,
+    feature_cols: list[str],
+    label_col: str,
+    beta: int = DEFAULT_BETA,
+    rel_error: float = 0.001,
+) -> dict[str, float]:
+    """IV per feature, computed distributed.
+
+    Two Spark jobs regardless of the number of features: one
+    ``approxQuantile`` call for all bin edges, then one aggregation for the
+    per-bin positive/negative counts (:func:`_bin_counts_spark`). IV itself
+    is assembled on the driver from the (n_features × beta)-row count table.
+    """
+    _edges, counts = _bin_counts_spark(df, feature_cols, label_col, beta, rel_error)
+    counts = counts.toPandas()
     out: dict[str, float] = {}
     for c in feature_cols:
         sub = counts[counts["_feat"] == c]

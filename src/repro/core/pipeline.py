@@ -1,26 +1,34 @@
-"""SAFE orchestration — paper Algorithm 1.
+"""SAFE orchestration — paper Algorithm 1, and the RAND/IMP ablations.
 
 ``SafePipeline.fit`` runs the iterative generate→select loop and returns a
 :class:`repro.core.plan.FeaturePlan` (the learned Ψ). Per iteration:
 
-1. train the XGBoost substrate on the current base features (+ the
-   validation frame when given, as the paper trains on D_train ∪ D_valid);
-2. mine feature combinations from same-path split features (§IV-B1);
-3. sort combinations by information gain ratio, keep the top γ (Alg. 2);
-4. apply the operator set to the kept combinations → generated features;
-5. select from base ∪ generated with IV → Pearson → importance (Alg. 3/4);
-6. the selection becomes the next iteration's base features.
+1. propose γ index pairs of the current base features (``pairs``):
+   * ``"safe"``: train the XGBoost substrate on the base features (+ the
+     validation frame when given, as the paper trains on
+     D_train ∪ D_valid), mine feature combinations from same-path split
+     features (§IV-B1), sort them by information gain ratio and keep the
+     top γ (Alg. 2);
+   * ``"rand"``: draw γ of all pairs (RAND, §V-A1);
+   * ``"imp"``: draw γ pairs among the split features of the same
+     XGBoost model (IMP, §V-A1);
+2. apply the operator set to the proposed pairs → generated features;
+3. select from base ∪ generated with IV → Pearson → importance (Alg. 3/4);
+4. the selection becomes the next iteration's base features.
 
-The loop ends after ``n_iterations`` or ``time_budget_s`` (the paper's
-nIter/tIter), or early when an iteration leaves the feature set unchanged
-(paper §V-A6: "the features will not be updated, and the performance
-keeps unchanged").
+RAND and IMP "follow the same feature selection process as SAFE", so only
+step 1 differs. The loop ends after ``n_iterations`` or ``time_budget_s``
+(the paper's nIter/tIter), or early when an iteration leaves the feature
+set unchanged (paper §V-A6: "the features will not be updated, and the
+performance keeps unchanged").
 """
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from itertools import combinations
 
+import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame
 
@@ -35,13 +43,52 @@ from .selection import select_features
 
 __all__ = ["SafePipeline", "SafeFitReport"]
 
+Pairs = list[tuple[int, int]]
+
 
 @dataclass
 class SafeFitReport:
-    """Per-iteration diagnostics collected during ``fit``."""
+    """Per-iteration diagnostics collected during ``fit``.
+
+    ``n_paths`` counts the mining model's paths (0 for RAND, which trains
+    none) and ``n_combos`` the candidate pairs the γ were taken from.
+    """
 
     iterations: list[dict] = field(default_factory=list)
     fit_seconds: float = 0.0
+
+
+def _draw(pool: Pairs, gamma: int, rng: np.random.Generator) -> Pairs:
+    """γ distinct pairs of ``pool`` drawn uniformly (all when fewer)."""
+    if not pool:
+        return []
+    take = min(gamma, len(pool))
+    return [pool[i] for i in rng.choice(len(pool), size=take, replace=False)]
+
+
+def _propose_safe(pipe, eng, base, gamma, rng) -> tuple[Pairs, int, int]:
+    model = eng.fit_gbdt(base, **pipe.mining_gbdt)
+    paths = model.paths()
+    combos = mine_combos(paths, sizes=(2,), max_cells=pipe.max_cells)
+    if not combos:
+        return [], len(paths), 0
+    kept = top_combos(combos, eng.gain_ratios(base, combos), gamma)
+    return [c.features for c in kept], len(paths), len(combos)
+
+
+def _propose_rand(pipe, eng, base, gamma, rng) -> tuple[Pairs, int, int]:
+    pool = list(combinations(range(len(base)), 2))
+    return _draw(pool, gamma, rng), 0, len(pool)
+
+
+def _propose_imp(pipe, eng, base, gamma, rng) -> tuple[Pairs, int, int]:
+    model = eng.fit_gbdt(base, **pipe.mining_gbdt)
+    pool = list(combinations(sorted(model.split_features()), 2))
+    return _draw(pool, gamma, rng), len(model.paths()), len(pool)
+
+
+#: step 1 of the loop per ``pairs`` value: (pairs, n_paths, n_combos)
+_PROPOSALS = {"safe": _propose_safe, "rand": _propose_rand, "imp": _propose_imp}
 
 
 @dataclass
@@ -53,6 +100,9 @@ class SafePipeline:
     benchmark protocol's 2M), and the two XGBoost configurations (K₁/D₁
     mining model, K₂/D₂ ranking model — Eq. 13 ties the feature budget to
     K·D). ``operators`` defaults to the evaluation's {+, −, ×, ÷}.
+    ``pairs`` picks SAFE's mined pairs or the RAND/IMP ablations;
+    ``random_state`` seeds the RAND/IMP draws (the GBDT seeds stay in
+    ``mining_gbdt``/``ranking_gbdt``).
     """
 
     n_iterations: int = 1
@@ -70,6 +120,8 @@ class SafePipeline:
         default_factory=lambda: {"n_estimators": 20, "max_depth": 3}
     )
     max_cells: int = 4096
+    pairs: str = "safe"  # "safe" | "rand" | "imp"
+    random_state: int = 0
 
     report_: SafeFitReport | None = None
 
@@ -87,9 +139,17 @@ class SafePipeline:
         for Spark input; pass explicitly to force (a Spark frame with
         ``engine='local'`` is collected to the driver via Arrow).
         """
+        if self.pairs not in _PROPOSALS:
+            raise ValueError(
+                f"pairs must be one of {sorted(_PROPOSALS)}, got {self.pairs!r}"
+            )
+        propose = _PROPOSALS[self.pairs]
         eng = self._make_engine(train, label_col, valid, engine)
         t0 = time.time()
         self.report_ = SafeFitReport()
+        # distinct stream per ablation so RAND and IMP draw different pairs
+        # even when IMP's split-feature pool equals the full feature set
+        rng = np.random.default_rng([self.random_state, 1 if self.pairs == "imp" else 0])
 
         base = eng.feature_columns
         m0 = len(base)
@@ -104,26 +164,21 @@ class SafePipeline:
                 and time.time() - t0 > self.time_budget_s
             ):
                 break
-            # 1. mine combination relations from the tree model
-            model = eng.fit_gbdt(base, **self.mining_gbdt)
-            combos = mine_combos(model.paths(), sizes=(2,), max_cells=self.max_cells)
-            if not combos:
+            # 1. propose γ index pairs of the base features
+            pairs, n_paths, n_combos = propose(self, eng, base, gamma, rng)
+            if not pairs:
                 break
-            # 2. sort by information gain ratio, keep top γ
-            ratios = eng.gain_ratios(base, combos)
-            kept = top_combos(combos, ratios, gamma)
-            # 3. generate: apply the operator set to each kept combination
+            # 2. generate: apply the operator set to each proposed pair
             new_specs: list[FeatureSpec] = []
-            for combo in kept:
-                a, b = base[combo.features[0]], base[combo.features[1]]
-                for op_name, inputs in pair_specs(a, b, self.operators):
+            for i, j in pairs:
+                for op_name, inputs in pair_specs(base[i], base[j], self.operators):
                     spec = FeatureSpec(op_name, inputs)
                     if spec.name not in existing:
                         new_specs.append(spec)
                         existing.add(spec.name)
             eng.add_generated(new_specs)
             all_specs.extend(new_specs)
-            # 4. select from base ∪ generated
+            # 3. select from base ∪ generated
             candidates = base + [s.name for s in new_specs]
             report = select_features(
                 eng,
@@ -138,8 +193,8 @@ class SafePipeline:
             self.report_.iterations.append(
                 {
                     "iteration": it,
-                    "n_paths": len(model.paths()),
-                    "n_combos": len(combos),
+                    "n_paths": n_paths,
+                    "n_combos": n_combos,
                     "n_generated": len(new_specs),
                     "n_informative": len(report["informative"]),
                     "n_nonredundant": len(report["nonredundant"]),

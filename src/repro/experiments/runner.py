@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 import pandas as pd
 
-from ..baselines import FCTreePipeline, RandomGenPipeline, TFCPipeline
+from ..baselines import FCTreePipeline, TFCPipeline
 from ..core.pipeline import SafePipeline
 from ..core.plan import FeaturePlan
 from ..models import make_classifier
@@ -37,7 +37,7 @@ class MethodResult:
 
 def fit_method(
     name: str,
-    train: pd.DataFrame,
+    train,
     label_col: str = LABEL_COL,
     valid: pd.DataFrame | None = None,
     seed: int = 0,
@@ -47,7 +47,9 @@ def fit_method(
     """Fit one comparison method, returning its plan and wall-clock fit time.
 
     All methods follow the benchmark protocol (§V-A1): one iteration, the
-    four arithmetic operators, output capped at 2·M features.
+    four arithmetic operators, output capped at 2·M features. ``train`` is
+    a pandas frame; ORIG, RAND, IMP and SAFE also take a Spark frame
+    (with ``engine='spark'`` the fit stays distributed).
     """
     t0 = time.time()
     if name == "ORIG":
@@ -57,18 +59,10 @@ def fit_method(
         plan = FCTreePipeline(random_state=seed, **overrides).fit(train, label_col, valid)
     elif name == "TFC":
         plan = TFCPipeline(**overrides).fit(train, label_col, valid)
-    elif name == "RAND":
-        plan = RandomGenPipeline(mode="rand", random_state=seed, **overrides).fit(
+    elif name in ("RAND", "IMP", "SAFE"):
+        plan = SafePipeline(pairs=name.lower(), random_state=seed, **overrides).fit(
             train, label_col, valid, engine=engine
         )
-    elif name == "IMP":
-        plan = RandomGenPipeline(mode="imp", random_state=seed, **overrides).fit(
-            train, label_col, valid, engine=engine
-        )
-    elif name == "SAFE":
-        plan = SafePipeline(
-            **{"mining_gbdt": {"n_estimators": 20, "max_depth": 3, "random_state": seed}, **overrides}
-        ).fit(train, label_col, valid, engine=engine)
     else:
         raise KeyError(f"unknown method {name!r}; known: {METHODS}")
     return MethodResult(plan, time.time() - t0)

@@ -7,18 +7,21 @@ histogram GBDT: quantile binning, second-order gradients, level-wise
 growth, λ-regularised leaf weights, and per-feature average-gain
 importance — the exact algorithmic surface SAFE relies on.
 
-The numpy engine lives here; :mod:`repro.gbdt.spark_backend` plugs a
-distributed histogram callback into the same :func:`repro.gbdt.tree.grow_tree`.
-The numpy engine bins once into compact column-major codes, carries each
-row's node through a tree (:class:`repro.gbdt.tree.RowPositions`) and adds
-the leaf values at those positions to the margin after each tree, so no
-row is routed from the root again.
+One model serves both engines. ``fit`` trains on a numpy matrix: it bins
+once into compact column-major codes, carries each row's node through a
+tree (:class:`repro.gbdt.tree.RowPositions`) and adds the leaf values at
+those positions to the margin after each tree, so no row is routed from
+the root again. ``fit_spark`` trains on a Spark DataFrame with the
+distributed histograms of :mod:`repro.gbdt.spark_backend`. Both feed the
+same :func:`repro.gbdt.tree.grow_tree`, and the fitted forest is plain
+driver-side :class:`repro.gbdt.tree.Tree` objects either way.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
 import numpy as np
+from pyspark.sql import DataFrame
 
 from .binning import BinMapper, fit_bin_mapper
 from .tree import RowPositions, Tree, build_histograms, grow_tree
@@ -76,7 +79,7 @@ class GBDTClassifier:
             self.mapper_.transform(X), dtype=self.mapper_.code_dtype
         )
         max_bins = self.mapper_.max_bins
-        margin = np.full(len(y), self._base_margin(y), dtype=np.float64)
+        margin = np.full(len(y), self._base_margin(), dtype=np.float64)
         rng = np.random.default_rng(self.random_state)
         self.trees_ = []
         for _k in range(self.n_estimators):
@@ -94,20 +97,52 @@ class GBDTClassifier:
                     codes, grad, hess, slots, max(frontier) + 1, max_bins
                 )
 
-            tree = grow_tree(
-                hist_fn,
-                self.mapper_,
-                max_depth=self.max_depth,
-                reg_lambda=self.reg_lambda,
-                gamma=self.gamma,
-                min_child_weight=self.min_child_weight,
-                learning_rate=self.learning_rate,
-            )
+            tree = self._grow(hist_fn)
             self.trees_.append(tree)
             margin += rows.leaf_values(tree)
         return self
 
-    def _base_margin(self, y: np.ndarray | None = None) -> float:
+    def fit_spark(
+        self, df: DataFrame, feature_cols: list[str], label_col: str
+    ) -> "GBDTClassifier":
+        """Train on a Spark DataFrame, keeping the row data distributed.
+
+        Bin edges come from one ``approxQuantile`` call; the frame is
+        cached once as bin codes; each tree level is one ``mapInPandas``
+        scan whose partial histograms are summed on the driver. Rows are
+        never sampled, so ``subsample`` must be 1.
+        """
+        # deferred: spark_backend imports this module
+        from .spark_backend import cache_binned, fit_mapper_spark, histogram_fn
+
+        if self.subsample < 1.0:
+            raise ValueError("fit_spark does not sample rows; set subsample=1.0")
+        self.n_features_ = len(feature_cols)
+        self.mapper_ = fit_mapper_spark(df, feature_cols, self.n_bins)
+        binned = cache_binned(df, feature_cols, label_col, self.mapper_)
+        self.trees_ = []
+        try:
+            for _k in range(self.n_estimators):
+                hist_fn = histogram_fn(
+                    binned, self.trees_, self._base_margin(), self.mapper_
+                )
+                self.trees_.append(self._grow(hist_fn))
+        finally:
+            binned.unpersist()
+        return self
+
+    def _grow(self, hist_fn) -> Tree:
+        return grow_tree(
+            hist_fn,
+            self.mapper_,
+            max_depth=self.max_depth,
+            reg_lambda=self.reg_lambda,
+            gamma=self.gamma,
+            min_child_weight=self.min_child_weight,
+            learning_rate=self.learning_rate,
+        )
+
+    def _base_margin(self) -> float:
         p = float(np.clip(self.base_score, 1e-6, 1 - 1e-6))
         return float(np.log(p / (1 - p)))
 

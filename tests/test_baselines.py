@@ -5,10 +5,10 @@ import pytest
 
 from repro.baselines import (
     FCTreePipeline,
-    RandomGenPipeline,
     TFCPipeline,
     info_gain,
 )
+from repro.core.pipeline import SafePipeline
 from repro.models import make_classifier
 from repro.models.evaluation import auc_score
 
@@ -98,20 +98,20 @@ def test_fctree_different_seeds_differ(planted):
 # ---- RAND / IMP ---------------------------------------------------------
 @pytest.mark.parametrize("mode", ["rand", "imp"])
 def test_randgen_output_capped(planted, mode):
-    plan = RandomGenPipeline(mode=mode).fit(planted, "label")
+    plan = SafePipeline(pairs=mode).fit(planted, "label")
     assert 0 < len(plan.output_columns) <= 12
 
 
 @pytest.mark.parametrize("mode", ["rand", "imp"])
 def test_randgen_deterministic(planted, mode):
-    p1 = RandomGenPipeline(mode=mode, random_state=7).fit(planted, "label")
-    p2 = RandomGenPipeline(mode=mode, random_state=7).fit(planted, "label")
+    p1 = SafePipeline(pairs=mode, random_state=7).fit(planted, "label")
+    p2 = SafePipeline(pairs=mode, random_state=7).fit(planted, "label")
     assert p1.output_columns == p2.output_columns
 
 
 def test_rand_and_imp_draw_different_pairs(planted):
-    pr = RandomGenPipeline(mode="rand", random_state=7).fit(planted, "label")
-    pi = RandomGenPipeline(mode="imp", random_state=7).fit(planted, "label")
+    pr = SafePipeline(pairs="rand", random_state=7).fit(planted, "label")
+    pi = SafePipeline(pairs="imp", random_state=7).fit(planted, "label")
     assert pr.output_columns != pi.output_columns
 
 
@@ -123,7 +123,7 @@ def test_imp_restricted_to_split_features():
     y = (X[:, 0] + X[:, 1] > 0).astype(int)  # only f0, f1 informative
     pdf = pd.DataFrame(X, columns=[f"f{i}" for i in range(8)])
     pdf["label"] = y
-    plan = RandomGenPipeline(mode="imp", gamma=50, random_state=0).fit(pdf, "label")
+    plan = SafePipeline(pairs="imp", gamma=50, random_state=0).fit(pdf, "label")
     used = {i for s in plan.specs for i in s.inputs}
     # the booster concentrates on f0/f1; noise-only features may appear
     # occasionally but the signal features must dominate the pairs
@@ -132,7 +132,7 @@ def test_imp_restricted_to_split_features():
 
 def test_invalid_mode_raises(planted):
     with pytest.raises(ValueError):
-        RandomGenPipeline(mode="bogus").fit(planted, "label")
+        SafePipeline(pairs="bogus").fit(planted, "label")
 
 
 def test_baselines_help_a_linear_model(planted):

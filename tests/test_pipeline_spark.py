@@ -3,7 +3,6 @@ import numpy as np
 import pandas as pd
 import pytest
 
-from repro.baselines import RandomGenPipeline
 from repro.core.pipeline import SafePipeline
 from repro.models import make_classifier
 from repro.models.evaluation import auc_score
@@ -81,8 +80,8 @@ def test_spark_engine_agrees_with_local_on_outputs(spark, planted):
 def test_rand_imp_on_spark_engine(spark, planted):
     sdf = spark.createDataFrame(planted.iloc[:3500])
     for mode in ("rand", "imp"):
-        plan = RandomGenPipeline(
-            mode=mode,
+        plan = SafePipeline(
+            pairs=mode,
             gamma=6,
             mining_gbdt={"n_estimators": 4, "max_depth": 3},
             ranking_gbdt={"n_estimators": 4, "max_depth": 3},

@@ -1,12 +1,25 @@
 """Integration tests for the Table III/VIII sweep harness."""
+import functools
+import json
+from pathlib import Path
+
 import numpy as np
 import pandas as pd
 import pytest
 
+from repro.core.plan import FeaturePlan
 from repro.experiments.datasets import BENCHMARK_DATASETS, LABEL_COL, make_dataset
 from repro.experiments.runner import METHODS, evaluate_plan, fit_method, run_dataset
 
 SPEC = BENCHMARK_DATASETS[1]  # banknote: tiny and easy
+#: RAND/IMP plans (``to_json``) written by the standalone RAND/IMP
+#: pipeline that ``SafePipeline(pairs=...)`` replaced
+GOLDEN = json.loads(Path(__file__).with_name("golden_plans_rand_imp.json").read_text())
+
+
+@functools.cache
+def _dataset(name):
+    return make_dataset(next(s for s in BENCHMARK_DATASETS if s.name == name))
 
 
 @pytest.fixture(scope="module")
@@ -70,3 +83,23 @@ def test_method_feature_budget(banknote):
     for method in METHODS:
         res = fit_method(method, tr, LABEL_COL, va)
         assert len(res.plan.output_columns) <= 2 * SPEC.dim, method
+
+
+@pytest.mark.parametrize("key", list(GOLDEN))
+def test_rand_imp_plans_match_golden(key):
+    method, name, seed = key.split("-")
+    tr, va, _te = _dataset(name)
+    res = fit_method(method, tr, LABEL_COL, va, seed=int(seed.removeprefix("seed")))
+    assert res.plan == FeaturePlan.from_json(json.dumps(GOLDEN[key]))
+
+
+@pytest.mark.parametrize("method", ["SAFE", "RAND", "IMP"])
+def test_fit_method_on_spark_engine(spark, method, banknote):
+    tr, _va, _te = banknote
+    sdf = spark.createDataFrame(tr.iloc[:600])
+    # the GBDT parameters the local engine takes, random_state included
+    gbdt = {"n_estimators": 3, "max_depth": 2, "random_state": 0}
+    res = fit_method(
+        method, sdf, LABEL_COL, seed=1, engine="spark", mining_gbdt=gbdt, ranking_gbdt=gbdt
+    )
+    assert 0 < len(res.plan.output_columns) <= 2 * SPEC.dim

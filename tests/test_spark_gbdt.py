@@ -4,7 +4,6 @@ import pandas as pd
 import pytest
 
 from repro.gbdt import GBDTClassifier
-from repro.gbdt.spark_backend import SparkGBDTClassifier
 from repro.models.evaluation import auc_score
 
 
@@ -25,8 +24,8 @@ def data():
 def spark_model(spark, data):
     pdf, cols = data
     train = spark.createDataFrame(pdf.iloc[:4000])
-    m = SparkGBDTClassifier(n_estimators=8, max_depth=3)
-    m.fit(train, cols, "label")
+    m = GBDTClassifier(n_estimators=8, max_depth=3)
+    m.fit_spark(train, cols, "label")
     return m
 
 
@@ -68,16 +67,8 @@ def test_spark_backend_split_features(spark_model):
     assert {0, 1, 2} & feats
 
 
-def test_distributed_scoring_matches_driver(spark, spark_model, data):
+def test_fit_spark_rejects_row_sampling(spark, data):
     pdf, cols = data
-    test = pdf.iloc[4000:4500]
-    sdf = spark.createDataFrame(test)
-    scored = spark_model.predict_proba_spark(sdf, cols).toPandas()
-    # distributed scoring must agree with driver-side scoring row-for-row
-    merged = scored.sort_values(cols[0]).reset_index(drop=True)
-    driver = test.copy()
-    driver["probability"] = spark_model.predict_proba(test[cols].to_numpy())[:, 1]
-    driver = driver.sort_values(cols[0]).reset_index(drop=True)
-    np.testing.assert_allclose(
-        merged["probability"].to_numpy(), driver["probability"].to_numpy(), atol=1e-12
-    )
+    train = spark.createDataFrame(pdf.iloc[:500])
+    with pytest.raises(ValueError):
+        GBDTClassifier(random_state=0, subsample=0.5).fit_spark(train, cols, "label")
