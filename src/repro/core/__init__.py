@@ -4,12 +4,11 @@ from .correlation import (
     DEFAULT_THETA,
     PEARSON_BANDS,
     pearson_matrix,
-    pearson_matrix_spark,
     remove_redundant,
 )
 from .engine import LocalEngine, SparkEngine
-from .gain_ratio import gain_ratios, gain_ratios_spark, top_combos
-from .iv import DEFAULT_ALPHA, DEFAULT_BETA, IV_BANDS, iv_scores, iv_scores_spark
+from .gain_ratio import gain_ratios, top_combos
+from .iv import DEFAULT_ALPHA, DEFAULT_BETA, IV_BANDS, iv_scores
 from .operators import BINARY_OPERATORS, DEFAULT_BINARY_OPS, UNARY_OPERATORS, pair_specs
 from .pipeline import SafePipeline
 from .plan import FeaturePlan, FeatureSpec
@@ -21,18 +20,15 @@ __all__ = [
     "PEARSON_BANDS",
     "DEFAULT_THETA",
     "pearson_matrix",
-    "pearson_matrix_spark",
     "remove_redundant",
     "LocalEngine",
     "SparkEngine",
     "gain_ratios",
-    "gain_ratios_spark",
     "top_combos",
     "IV_BANDS",
     "DEFAULT_ALPHA",
     "DEFAULT_BETA",
     "iv_scores",
-    "iv_scores_spark",
     "BINARY_OPERATORS",
     "UNARY_OPERATORS",
     "DEFAULT_BINARY_OPS",

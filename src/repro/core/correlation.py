@@ -10,15 +10,14 @@ from __future__ import annotations
 
 import numpy as np
 import pandas as pd
-from pyspark.ml.feature import VectorAssembler
-from pyspark.ml.stat import Correlation
-from pyspark.sql import DataFrame
 
 __all__ = [
     "PEARSON_BANDS",
     "DEFAULT_THETA",
+    "merge_moments",
+    "moments",
+    "pearson_from_moments",
     "pearson_matrix",
-    "pearson_matrix_spark",
     "remove_redundant",
 ]
 
@@ -43,30 +42,49 @@ def correlation_band(r: float) -> str:
     return PEARSON_BANDS[-1][2]
 
 
-def pearson_matrix(X: pd.DataFrame | np.ndarray) -> np.ndarray:
-    """Full Pearson matrix; zero-variance columns correlate 0 with all."""
-    mat = X.to_numpy(dtype=np.float64) if isinstance(X, pd.DataFrame) else np.asarray(X, dtype=np.float64)
-    sd = mat.std(axis=0)
-    ok = sd > 0
-    out = np.zeros((mat.shape[1], mat.shape[1]))
-    if ok.sum() >= 1:
-        sub = np.corrcoef(mat[:, ok], rowvar=False)
-        sub = np.atleast_2d(sub)
-        idx = np.where(ok)[0]
-        out[np.ix_(idx, idx)] = sub
+def moments(mat: np.ndarray) -> tuple[int, np.ndarray, np.ndarray]:
+    """Sufficient statistics of a non-empty row block for Pearson: the row
+    count, the column means and the centred Gram matrix
+    (X − mean)ᵀ(X − mean).
+
+    Columns are first shifted by their first-row value, so a column that
+    is constant in the block gets exactly that mean and a zero Gram row.
+    A column holding ±inf or NaN gets NaN statistics (inf − inf).
+    """
+    mat = np.asarray(mat, dtype=np.float64)
+    with np.errstate(invalid="ignore"):
+        d = mat - mat[0]
+        mean = d.mean(axis=0)
+        d -= mean
+    return len(mat), mat[0] + mean, d.T @ d
+
+
+def merge_moments(a: tuple, b: tuple) -> tuple[int, np.ndarray, np.ndarray]:
+    """:func:`moments` of the union of two row blocks (the pairwise update
+    of Chan, Golub & LeVeque)."""
+    (na, ma, ga), (nb, mb, gb) = a, b
+    n = na + nb
+    delta = mb - ma
+    return n, ma + delta * (nb / n), ga + gb + np.outer(delta, delta) * (na * nb / n)
+
+
+def pearson_from_moments(n: int, mean: np.ndarray, gram: np.ndarray) -> np.ndarray:
+    """Pearson matrix from :func:`moments`, clipped to [−1, 1].
+    Zero-variance and non-finite columns correlate 0 with every other
+    column; the diagonal is 1."""
+    var = np.diag(gram)
+    ok = np.isfinite(var) & (var > 0)
+    sd = np.sqrt(np.where(ok, var, 1.0))
+    out = np.where(np.outer(ok, ok), np.clip(gram / sd[:, None] / sd[None, :], -1.0, 1.0), 0.0)
     np.fill_diagonal(out, 1.0)
     return np.nan_to_num(out, nan=0.0)
 
 
-def pearson_matrix_spark(df: DataFrame, feature_cols: list[str]) -> np.ndarray:
-    """Distributed Pearson matrix via ``pyspark.ml.stat.Correlation``."""
-    vec = VectorAssembler(
-        inputCols=feature_cols, outputCol="_features", handleInvalid="keep"
-    ).transform(df.select(feature_cols))
-    mat = Correlation.corr(vec, "_features", "pearson").head()[0].toArray()
-    mat = np.nan_to_num(mat, nan=0.0)  # zero-variance cols yield NaN rows
-    np.fill_diagonal(mat, 1.0)
-    return mat
+def pearson_matrix(X: pd.DataFrame | np.ndarray) -> np.ndarray:
+    """Full Pearson matrix (numpy engine); zero-variance and non-finite
+    columns correlate 0 with all."""
+    mat = X.to_numpy(dtype=np.float64) if isinstance(X, pd.DataFrame) else np.asarray(X, dtype=np.float64)
+    return pearson_from_moments(*moments(mat))
 
 
 def remove_redundant(

@@ -5,22 +5,21 @@ A combination's split features and split values partition all records into
 the label, normalised by the partition's intrinsic value (split info) —
 C4.5's gain ratio, which is what "information gain ratio" denotes.
 
-Local path: vectorised numpy digitise + bincount per combination.
-Distributed path: one ``mapInPandas`` pass computes per-partition
-(cell, label) contingency partials for *all* combinations at once; the
-driver sums partials and finishes the entropy arithmetic, so the cost is a
-single scan regardless of the number of combinations.
+One kernel and one finisher serve both engines: :func:`cell_counts`
+gives every combination's (cell, label) contingency of a block of rows,
+and :func:`gain_ratio_from_counts` finishes the entropy arithmetic. The
+local engine runs the kernel once over the frame; the Spark engine runs
+it on each partition in one scan, whatever the number of combinations,
+and sums the partials on the driver.
 """
 from __future__ import annotations
 
 import numpy as np
 import pandas as pd
-from pyspark.sql import DataFrame
-from pyspark.sql import functions as F
 
 from .combos import FeatureCombo
 
-__all__ = ["gain_ratio_from_counts", "gain_ratios", "gain_ratios_spark", "top_combos"]
+__all__ = ["cell_counts", "gain_ratio_from_counts", "gain_ratios", "top_combos"]
 
 
 def _entropy(counts: np.ndarray) -> float:
@@ -74,6 +73,16 @@ def _counts_for_combo(
     return pos, neg
 
 
+def cell_counts(
+    mat: np.ndarray, y: np.ndarray, combos: list[FeatureCombo]
+) -> list[np.ndarray]:
+    """Per-combination (2, n_cells) positive/negative cell counts of a row
+    block; ``combo.features`` index columns of ``mat``. Counts of blocks
+    add up."""
+    yb = np.asarray(y).astype(bool)
+    return [np.stack(_counts_for_combo(mat, yb, c)) for c in combos]
+
+
 def gain_ratios(
     X: pd.DataFrame | np.ndarray, y: np.ndarray, combos: list[FeatureCombo]
 ) -> list[float]:
@@ -82,63 +91,7 @@ def gain_ratios(
     ``combo.features`` index columns of ``X`` positionally.
     """
     mat = X.to_numpy(dtype=np.float64) if isinstance(X, pd.DataFrame) else np.asarray(X, dtype=np.float64)
-    yb = np.asarray(y).astype(bool)
-    return [gain_ratio_from_counts(*_counts_for_combo(mat, yb, c)) for c in combos]
-
-
-def _cell_counts_spark(
-    df: DataFrame,
-    feature_cols: list[str],
-    label_col: str,
-    combos: list[FeatureCombo],
-) -> DataFrame:
-    """Lazy (``combo``, ``cell``) → ``pos``/``neg`` contingency of every
-    combination, non-empty cells only, from one ``mapInPandas`` scan.
-
-    Each partition emits its flattened partial contingency; the partials
-    are summed by a ``groupBy``. Cells are tiny (bounded by ``max_cells``
-    at mining time) so the partials are O(#partitions · Σ cells).
-    """
-    cols = list(feature_cols) + [label_col]
-
-    def partial(iterator):
-        for pdf in iterator:
-            mat = pdf[feature_cols].to_numpy(dtype=np.float64)
-            yb = pdf[label_col].to_numpy().astype(bool)
-            rows = []
-            for ci, combo in enumerate(combos):
-                pos, neg = _counts_for_combo(mat, yb, combo)
-                nz = np.nonzero(pos + neg)[0]
-                for cell in nz:
-                    rows.append((ci, int(cell), int(pos[cell]), int(neg[cell])))
-            yield pd.DataFrame(rows, columns=["combo", "cell", "pos", "neg"])
-
-    partials = df.select(*cols).mapInPandas(
-        partial, schema="combo long, cell long, pos long, neg long"
-    )
-    return partials.groupBy("combo", "cell").agg(
-        F.sum("pos").alias("pos"), F.sum("neg").alias("neg")
-    )
-
-
-def gain_ratios_spark(
-    df: DataFrame,
-    feature_cols: list[str],
-    label_col: str,
-    combos: list[FeatureCombo],
-) -> list[float]:
-    """Gain ratio per combination in one distributed scan
-    (:func:`_cell_counts_spark`); the driver finishes the arithmetic."""
-    agg = _cell_counts_spark(df, feature_cols, label_col, combos).toPandas()
-    out = []
-    for ci, combo in enumerate(combos):
-        sub = agg[agg["combo"] == ci]
-        pos = np.zeros(combo.n_cells(), dtype=np.int64)
-        neg = np.zeros(combo.n_cells(), dtype=np.int64)
-        pos[sub["cell"].to_numpy()] = sub["pos"].to_numpy()
-        neg[sub["cell"].to_numpy()] = sub["neg"].to_numpy()
-        out.append(gain_ratio_from_counts(pos, neg))
-    return out
+    return [gain_ratio_from_counts(*c) for c in cell_counts(mat, y, combos)]
 
 
 def top_combos(

@@ -11,18 +11,33 @@ and sign-asymmetric, so we implement the canonical WOE-weighted form above
 (documented substitution, DESIGN.md §2). Empty-class bins are Laplace
 smoothed with 0.5 so WOE stays finite.
 
-Both a vectorised numpy path and a two-job Spark path (approxQuantile for
-edges, one stacked groupBy for bin counts) are provided; they agree up to
-binning-quantile approximation.
+One kernel and one finisher serve both engines. :func:`bin_counts` gives
+the (feature, bin) positive/negative counts of a block of rows for fixed
+bin edges; :func:`ivs_from_bin_counts` turns (summed) counts into IVs. The
+local engine runs the kernel once over the frame with edges from
+:func:`quantile_edges`; the Spark engine takes its edges from one
+``approxQuantile`` call, runs the kernel per partition and sums the counts
+on the driver.
+
+Missing values: edges are quantiles of the non-NaN values only (as
+``approxQuantile`` computes them), and a value goes to the first bin whose
+edge is >= it, so NaN and +inf land in the highest bin on both engines —
+the same policy as the GBDT's ``BinMapper``.
 """
 from __future__ import annotations
 
 import numpy as np
 import pandas as pd
-from pyspark.sql import DataFrame
-from pyspark.sql import functions as F
 
-__all__ = ["IV_BANDS", "iv_from_counts", "iv_scores", "iv_scores_spark", "equal_freq_bin"]
+__all__ = [
+    "IV_BANDS",
+    "bin_counts",
+    "equal_freq_bin",
+    "iv_from_counts",
+    "iv_scores",
+    "ivs_from_bin_counts",
+    "quantile_edges",
+]
 
 #: Table I of the paper: predictive-power rule of thumb.
 IV_BANDS: tuple[tuple[float, float, str], ...] = (
@@ -54,15 +69,54 @@ def iv_from_counts(pos: np.ndarray, neg: np.ndarray) -> float:
     return float(np.sum((p - q) * np.log(p / q)))
 
 
+def quantile_edges(x: np.ndarray, beta: int = DEFAULT_BETA) -> np.ndarray:
+    """Sorted distinct inner edges of β equal-frequency bins, taken from
+    the non-NaN values of ``x`` (none when every value is NaN)."""
+    x = np.asarray(x, dtype=np.float64)
+    x = x[~np.isnan(x)]
+    if not x.size:
+        return x
+    return np.unique(np.quantile(x, np.linspace(0, 1, beta + 1)[1:-1]))
+
+
 def equal_freq_bin(x: np.ndarray, beta: int = DEFAULT_BETA) -> np.ndarray:
     """Equal-frequency bin codes in [0, beta) via rank quantiles.
 
     Ties collapse bins (a constant column lands entirely in one bin, so its
-    IV is 0 — correctly flagged useless).
+    IV is 0 — correctly flagged useless). NaN goes to the highest bin.
     """
-    x = np.asarray(x, dtype=np.float64)
-    edges = np.quantile(x, np.linspace(0, 1, beta + 1)[1:-1])
-    return np.searchsorted(np.unique(edges), x, side="left")
+    return np.searchsorted(quantile_edges(x, beta), x, side="left")
+
+
+def bin_counts(
+    mat: np.ndarray, y: np.ndarray, edges: list[np.ndarray]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-(feature, bin) positive and negative counts of a row block.
+
+    ``edges[j]`` are column j's sorted bin edges; a value goes to the first
+    bin whose edge is >= it (``searchsorted`` side='left'). Returns two
+    int64 arrays of shape (m, 1 + max edges per column); counts of blocks
+    binned with the same edges add up.
+    """
+    yb = np.asarray(y).astype(bool)
+    width = 1 + max((len(e) for e in edges), default=0)
+    pos = np.zeros((len(edges), width), dtype=np.int64)
+    neg = np.zeros((len(edges), width), dtype=np.int64)
+    for j, e in enumerate(edges):
+        codes = np.searchsorted(e, mat[:, j], side="left")
+        pos[j] = np.bincount(codes[yb], minlength=width)
+        neg[j] = np.bincount(codes[~yb], minlength=width)
+    return pos, neg
+
+
+def ivs_from_bin_counts(pos: np.ndarray, neg: np.ndarray) -> list[float]:
+    """IV of each row of :func:`bin_counts`' output, over bins 0 through
+    the highest non-empty one (empty bins below it are smoothed too)."""
+    out = []
+    for p, q in zip(pos, neg):
+        n_bins = int(np.flatnonzero(p + q)[-1]) + 1 if (p + q).any() else 1
+        out.append(iv_from_counts(p[:n_bins], q[:n_bins]))
+    return out
 
 
 def iv_scores(
@@ -78,74 +132,5 @@ def iv_scores(
     else:
         mat = np.asarray(X, dtype=np.float64)
         columns = columns or [f"f{i}" for i in range(mat.shape[1])]
-    y = np.asarray(y).astype(bool)
-    out: dict[str, float] = {}
-    for j, c in enumerate(columns):
-        codes = equal_freq_bin(mat[:, j], beta)
-        n_bins = int(codes.max()) + 1 if len(codes) else 1
-        pos = np.bincount(codes[y], minlength=n_bins)
-        neg = np.bincount(codes[~y], minlength=n_bins)
-        out[c] = iv_from_counts(pos, neg)
-    return out
-
-
-def _bin_counts_spark(
-    df: DataFrame,
-    feature_cols: list[str],
-    label_col: str,
-    beta: int = DEFAULT_BETA,
-    rel_error: float = 0.001,
-) -> tuple[dict[str, list[float]], DataFrame]:
-    """Sorted distinct bin edges per feature (one ``approxQuantile`` job)
-    and the lazy (``_feat``, ``_bin``) → ``pos``/``neg`` count frame over
-    a ``stack``-ed long format. A value goes to the first bin whose edge
-    is >= it (numpy ``searchsorted`` side='left')."""
-    probs = list(np.linspace(0, 1, beta + 1)[1:-1])
-    qs = df.stat.approxQuantile(feature_cols, probs, rel_error)
-    edges = {c: sorted(set(q)) for c, q in zip(feature_cols, qs)}
-
-    def bin_expr(c: str):
-        es = edges[c]
-        expr = F.lit(len(es))
-        for i in reversed(range(len(es))):
-            expr = F.when(F.col(c) <= F.lit(float(es[i])), F.lit(i)).otherwise(expr)
-        return expr
-
-    stacked = df.select(
-        F.col(label_col).cast("int").alias("_y"),
-        *[bin_expr(c).alias(f"_b_{i}") for i, c in enumerate(feature_cols)],
-    )
-    stack_args: list = []
-    for i, c in enumerate(feature_cols):
-        stack_args += [F.lit(c), F.col(f"_b_{i}")]
-    long = stacked.select(
-        "_y", F.stack(F.lit(len(feature_cols)), *stack_args).alias("_feat", "_bin")
-    )
-    counts = long.groupBy("_feat", "_bin").agg(
-        F.sum("_y").alias("pos"),
-        F.sum(1 - F.col("_y")).alias("neg"),
-    )
-    return edges, counts
-
-
-def iv_scores_spark(
-    df: DataFrame,
-    feature_cols: list[str],
-    label_col: str,
-    beta: int = DEFAULT_BETA,
-    rel_error: float = 0.001,
-) -> dict[str, float]:
-    """IV per feature, computed distributed.
-
-    Two Spark jobs regardless of the number of features: one
-    ``approxQuantile`` call for all bin edges, then one aggregation for the
-    per-bin positive/negative counts (:func:`_bin_counts_spark`). IV itself
-    is assembled on the driver from the (n_features × beta)-row count table.
-    """
-    _edges, counts = _bin_counts_spark(df, feature_cols, label_col, beta, rel_error)
-    counts = counts.toPandas()
-    out: dict[str, float] = {}
-    for c in feature_cols:
-        sub = counts[counts["_feat"] == c]
-        out[c] = iv_from_counts(sub["pos"].to_numpy(), sub["neg"].to_numpy())
-    return out
+    edges = [quantile_edges(mat[:, j], beta) for j in range(mat.shape[1])]
+    return dict(zip(columns, ivs_from_bin_counts(*bin_counts(mat, y, edges))))

@@ -8,9 +8,9 @@ from repro.core.correlation import (
     PEARSON_BANDS,
     correlation_band,
     pearson_matrix,
-    pearson_matrix_spark,
     remove_redundant,
 )
+from repro.core.engine import SparkEngine
 from repro.oracle import assert_equivalent
 
 
@@ -100,10 +100,15 @@ def test_spark_matrix_matches_local(spark):
         }
     )
     pdf["z"] = 0.9 * pdf["x"] + 0.1 * rng.normal(size=1000)
+    pdf["label"] = 0
     cols = ["x", "y", "z"]
     local = pearson_matrix(pdf[cols])
-    dist = pearson_matrix_spark(spark.createDataFrame(pdf), cols)
-    np.testing.assert_allclose(dist, local, atol=1e-8)
+    eng = SparkEngine(spark.createDataFrame(pdf), "label")
+    try:
+        dist = eng.corr(cols)
+    finally:
+        eng.df.unpersist()
+    np.testing.assert_allclose(dist, local, atol=1e-12)
 
 
 def test_spark_corr_matches_duckdb(spark):

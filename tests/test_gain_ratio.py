@@ -7,9 +7,9 @@ from repro.core.combos import FeatureCombo
 from repro.core.gain_ratio import (
     gain_ratio_from_counts,
     gain_ratios,
-    gain_ratios_spark,
     top_combos,
 )
+from repro.core.engine import SparkEngine
 
 
 def test_perfect_partition_max_ratio():
@@ -108,6 +108,9 @@ def test_spark_matches_local(spark):
         FeatureCombo((1, 2), ((-0.2, 0.5), (0.0,))),
     ]
     local = gain_ratios(pdf[["a", "b", "c"]], pdf["label"].to_numpy(), combos)
-    sdf = spark.createDataFrame(pdf)
-    dist = gain_ratios_spark(sdf, ["a", "b", "c"], "label", combos)
-    np.testing.assert_allclose(dist, local, rtol=1e-9)
+    eng = SparkEngine(spark.createDataFrame(pdf), "label")
+    try:
+        dist = eng.gain_ratios(["a", "b", "c"], combos)
+    finally:
+        eng.df.unpersist()
+    np.testing.assert_array_equal(dist, local)

@@ -3,6 +3,7 @@ import numpy as np
 import pandas as pd
 import pytest
 
+from repro.core.engine import LocalEngine, SparkEngine
 from repro.core.iv import (
     DEFAULT_ALPHA,
     DEFAULT_BETA,
@@ -11,9 +12,8 @@ from repro.core.iv import (
     iv_band,
     iv_from_counts,
     iv_scores,
-    iv_scores_spark,
+    ivs_from_bin_counts,
 )
-from repro.oracle import assert_equivalent
 
 
 def test_table1_bands():
@@ -52,6 +52,18 @@ def test_iv_nonnegative_random():
         pos = rng.integers(0, 100, 10)
         neg = rng.integers(0, 100, 10)
         assert iv_from_counts(pos, neg) >= 0
+
+
+def test_ivs_from_bin_counts_stop_at_highest_nonempty_bin():
+    """Bins above the highest non-empty one are dropped; empty bins below
+    it are smoothed like any other (the local ``bincount`` rule)."""
+    pos = np.array([[3, 1, 0, 0], [3, 0, 1, 0], [0, 0, 0, 0]])
+    neg = np.array([[1, 3, 0, 0], [1, 0, 3, 0], [0, 0, 0, 0]])
+    assert ivs_from_bin_counts(pos, neg) == [
+        iv_from_counts([3, 1], [1, 3]),
+        iv_from_counts([3, 0, 1], [1, 0, 3]),
+        0.0,
+    ]
 
 
 def test_equal_freq_bin_balanced():
@@ -102,38 +114,32 @@ def test_spark_iv_matches_local(spark):
         }
     )
     local = iv_scores(pdf, y, columns=["s", "w", "z"])
-    sdf = spark.createDataFrame(pdf)
-    dist = iv_scores_spark(sdf, ["s", "w", "z"], "label")
+    eng = SparkEngine(spark.createDataFrame(pdf), "label")
+    try:
+        dist = eng.iv(["s", "w", "z"])
+    finally:
+        eng.df.unpersist()
     for c in ("s", "w", "z"):
         assert dist[c] == pytest.approx(local[c], abs=0.05), c
     # ordering of predictive power is preserved exactly
     assert dist["s"] > dist["w"] > dist["z"]
 
 
-def test_spark_bin_counts_match_duckdb(spark):
-    """The distributed equal-frequency bucketing vs DuckDB SQL with the
-    same explicit edges — validates the CASE-chain bucket expression."""
-    rng = np.random.default_rng(5)
-    pdf = pd.DataFrame({"x": rng.normal(size=2000), "label": rng.integers(0, 2, 2000)})
-    edges = list(np.quantile(pdf["x"], [0.25, 0.5, 0.75]))
-    from pyspark.sql import functions as F
-
-    expr = F.lit(3)
-    for i in reversed(range(3)):
-        expr = F.when(F.col("x") <= F.lit(float(edges[i])), F.lit(i)).otherwise(expr)
-    sdf = spark.createDataFrame(pdf)
-    got = (
-        sdf.select(expr.alias("bin"), "label")
-        .groupBy("bin")
-        .agg(F.sum("label").alias("pos"), F.count("*").alias("cnt"))
-    )
-    sql = f"""
-        SELECT CASE
-                 WHEN x <= {edges[0]!r} THEN 0
-                 WHEN x <= {edges[1]!r} THEN 1
-                 WHEN x <= {edges[2]!r} THEN 2
-                 ELSE 3 END AS bin,
-               SUM(label) AS pos, COUNT(*) AS cnt
-        FROM t GROUP BY 1
-    """
-    assert_equivalent(got, sql, t=pdf)
+def test_nan_column_keeps_its_iv_on_both_engines(spark):
+    """A column with 10 % NaN keeps its predictive power: edges come from
+    the non-NaN values and NaN lands in the highest bin on both engines."""
+    rng = np.random.default_rng(6)
+    n = 3000
+    y = rng.integers(0, 2, n)
+    x = y + rng.normal(0, 0.8, n)
+    x[rng.random(n) < 0.1] = np.nan
+    pdf = pd.DataFrame({"x": x, "label": y})
+    local = LocalEngine(pdf, "label").iv(["x"])["x"]
+    eng = SparkEngine(spark.createDataFrame(pdf), "label")
+    try:
+        dist = eng.iv(["x"])["x"]
+    finally:
+        eng.df.unpersist()
+    assert local > DEFAULT_ALPHA and dist > DEFAULT_ALPHA
+    assert dist == pytest.approx(local, abs=0.05)
+    assert equal_freq_bin(x, 10)[np.isnan(x)].min() == 9

@@ -6,6 +6,7 @@ in SQL: the IV bin counts, the gain-ratio contingencies, Ψ on Spark, and
 an end-to-end SAFE fit on a label derived in SQL.
 """
 from dataclasses import replace
+from functools import partial
 
 import duckdb
 import numpy as np
@@ -14,8 +15,8 @@ import pytest
 from pyspark.sql import functions as F
 
 from repro.core.combos import mine_combos
-from repro.core.gain_ratio import _cell_counts_spark
-from repro.core.iv import _bin_counts_spark
+from repro.core.engine import SparkEngine
+from repro.core.gain_ratio import cell_counts
 from repro.core.pipeline import SafePipeline
 from repro.core.plan import FeaturePlan, FeatureSpec
 from repro.experiments.datasets import BUSINESS_DATASETS, LABEL_COL, make_dataset
@@ -70,8 +71,8 @@ def data1(spark):
 
 def test_groupby_aggregation_matches_duckdb(data1):
     """The (combo, cell) → pos/neg contingencies behind
-    ``gain_ratios_spark``: a ``mapInPandas`` partial per partition summed
-    by a ``groupBy``, against SQL cell ids built from the split values of
+    ``SparkEngine.gain_ratios``: per-partition kernel counts summed on the
+    driver, against SQL cell ids built from the split values of
     combinations mined, as on the Spark engine, from ``fit_spark``."""
     pdf, sdf = data1
     model = GBDTClassifier(n_estimators=3, max_depth=3).fit_spark(sdf, COLS, LABEL_COL)
@@ -85,8 +86,14 @@ def test_groupby_aggregation_matches_duckdb(data1):
             code = " + ".join(f"CAST({_lit(v)} < {COLS[f]} AS INTEGER)" for v in vs)
             cell = f"({cell}) * {len(vs) + 1} + ({code or '0'})"
         selects.append(f"SELECT {ci} AS combo, {cell} AS cell, {LABEL_COL} FROM data")
+    counts = SparkEngine(sdf, LABEL_COL)._summed(COLS, partial(cell_counts, combos=combos))
+    got = pd.DataFrame(
+        [(ci, cell, c[0, cell], c[1, cell])
+         for ci, c in enumerate(counts) for cell in np.flatnonzero(c.sum(axis=0))],
+        columns=["combo", "cell", "pos", "neg"],
+    )
     assert_equivalent(
-        _cell_counts_spark(sdf, COLS, LABEL_COL, combos),
+        got,
         f"SELECT combo, cell, SUM({LABEL_COL}) AS pos, SUM(1 - {LABEL_COL}) AS neg "
         f"FROM ({' UNION ALL '.join(selects)}) GROUP BY combo, cell",
         data=pdf,
@@ -94,11 +101,16 @@ def test_groupby_aggregation_matches_duckdb(data1):
 
 
 def test_join_aggregation_matches_duckdb(data1):
-    """The per-(feature, bin) pos/neg counts behind ``iv_scores_spark``:
-    Spark bins with a ``when`` chain over a stacked frame; SQL joins each
-    value with the bin-edge table and counts the edges below it."""
+    """The per-(feature, bin) pos/neg counts behind ``SparkEngine.iv``:
+    per-partition kernel counts summed on the driver; SQL joins each value
+    with the bin-edge table and counts the edges below it."""
     pdf, sdf = data1
-    edges, got = _bin_counts_spark(sdf, COLS, LABEL_COL, beta=10)
+    edges, pos, neg = SparkEngine(sdf, LABEL_COL)._bin_counts(COLS, beta=10)
+    edges = dict(zip(COLS, edges))
+    got = pd.DataFrame(
+        [(COLS[j], b, pos[j, b], neg[j, b]) for j, b in zip(*np.nonzero(pos + neg))],
+        columns=["_feat", "_bin", "pos", "neg"],
+    )
     edge_rows = pd.DataFrame(
         [(c, e) for c in COLS for e in edges[c]], columns=["feat", "edge"]
     )
